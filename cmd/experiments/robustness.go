@@ -25,7 +25,7 @@ type modelBenchApp struct {
 	DigestCP   string  `json:"digest_cp"`
 }
 
-// modelBench is the BENCH_MODEL.json schema scripts/bench.sh emits.
+// modelBench is the schema of the -model-bench report (BENCH_MODEL.json).
 type modelBench struct {
 	Kind                  string          `json:"kind"`
 	Apps                  []modelBenchApp `json:"apps"`

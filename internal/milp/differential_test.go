@@ -345,7 +345,7 @@ func TestKnownLowerBoundStopsEarly(t *testing.T) {
 // BenchmarkMILPWarmStart measures the rewritten solver on a
 // window-scale knapsack; BenchmarkMILPReference is the preserved
 // seed-era solver on the same instance — the ratio is the headline
-// number scripts/bench.sh records into BENCH_MILP.json.
+// number of EXPERIMENTS.md §"MILP warm-start trajectory".
 func BenchmarkMILPWarmStart(b *testing.B) {
 	p := knapsackProblem(rand.New(rand.NewSource(229)), 16)
 	b.ReportAllocs()

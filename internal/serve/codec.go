@@ -4,7 +4,7 @@
 // NP-complete instances affordable under traffic:
 //
 //   - a content-addressed result cache (codec.go, cache.go): requests
-//     are canonicalised and digested, identical instances hit a bounded
+//     are parsed and their fields digested, identical instances hit a bounded
 //     LRU, and concurrent identical requests compute once;
 //   - admission control (admission.go): a fixed number of concurrent
 //     solves, a bounded wait queue, per-request deadlines propagated
@@ -21,13 +21,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"mime"
 	"net/http"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"transched"
 	"transched/internal/heuristics"
@@ -118,12 +118,42 @@ type parsedRequest struct {
 	modelFilled int
 }
 
-// decodeRequest reads the envelope from either accepted form.
-func decodeRequest(r *http.Request) (Request, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	if err != nil {
-		return Request{}, fmt.Errorf("reading request body: %w", err)
+// maxBodyPresize caps how much of a declared Content-Length readBody
+// allocates before the body arrives. The 800-task paper traces are a few
+// tens of KB, so real bodies fit in one buffer, while a client that
+// declares a 16MB body and sends nothing holds at most this much.
+const maxBodyPresize = 256 << 10
+
+// readBody reads a request body, at most maxBodyBytes of it, into one
+// buffer presized from Content-Length up to maxBodyPresize (plus a byte,
+// so the read that reports io.EOF needs no growth). A larger body, or
+// one without a declared length, grows the buffer as io.ReadAll would.
+func readBody(r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
+	n := 512
+	if r.ContentLength > 0 {
+		n = int(min(r.ContentLength, maxBodyPresize)) + 1
 	}
+	b := make([]byte, 0, n)
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		m, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("reading request body: %w", err)
+		}
+	}
+}
+
+// decodeRequest decodes the envelope from either accepted form. A raw
+// trace body becomes req.Trace without a copy: body is never written
+// again, so the string shares its bytes.
+func decodeRequest(r *http.Request, body []byte) (Request, error) {
 	ct := r.Header.Get("Content-Type")
 	if mt, _, err := mime.ParseMediaType(ct); err == nil && mt == "application/json" {
 		var req Request
@@ -135,7 +165,7 @@ func decodeRequest(r *http.Request) (Request, error) {
 		return req, nil
 	}
 	// Raw trace body; options ride in the query string.
-	req := Request{Trace: string(body)}
+	req := Request{Trace: unsafe.String(unsafe.SliceData(body), len(body))}
 	q := r.URL.Query()
 	if v := q.Get("capacity"); v != "" {
 		c, err := strconv.ParseFloat(v, 64)
@@ -162,18 +192,28 @@ func decodeRequest(r *http.Request) (Request, error) {
 	return req, nil
 }
 
-// parseRequest validates the envelope and computes the canonical cache
-// key. Every malformed input dies here, at the codec, before a solver
-// or a cache slot is touched.
+// parseRequest reads r's body and parses it with parseBody.
 func parseRequest(r *http.Request) (*parsedRequest, error) {
-	req, err := decodeRequest(r)
+	body, err := readBody(r)
+	if err != nil {
+		return nil, err
+	}
+	return parseBody(r, body)
+}
+
+// parseBody validates the envelope in body and computes the canonical
+// cache key. Every malformed input dies here, at the codec, before a
+// solver or a cache slot is touched. The parsed trace's names share
+// body's bytes, which must not change afterwards.
+func parseBody(r *http.Request, body []byte) (*parsedRequest, error) {
+	req, err := decodeRequest(r, body)
 	if err != nil {
 		return nil, err
 	}
 	if strings.TrimSpace(req.Trace) == "" {
 		return nil, fmt.Errorf("empty trace")
 	}
-	tr, err := trace.Read(strings.NewReader(req.Trace))
+	tr, err := trace.Parse(req.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -201,26 +241,102 @@ func parseRequest(r *http.Request) (*parsedRequest, error) {
 			BatchSize:          req.Batch,
 		},
 	}
-	p.digest, err = Digest(tr, p.opts)
-	return p, err
+	// Parse accepts only traces Validate passes, so the digest needs
+	// no second validation pass.
+	p.digest = digest(tr, p.opts)
+	return p, nil
 }
 
+// digestTag versions the digest's field layout. Any change to what
+// digest hashes, or how, must change the tag, and with it the disk
+// store's index tag (store.indexTag), so that no digest of one layout
+// can address a response cached under another.
+const digestTag = "transched digest v2"
+
 // Digest returns the content address of a solve: FNV-64a over the
-// canonical trace encoding (the codec's own Write output, so the
-// whitespace, comments, directive order and float spelling of the
-// client's encoding all vanish) plus the normalised solve options.
-// Two requests share a digest exactly when they describe the same
-// instance and options — the same digest discipline as the golden
-// trace-generation tests.
+// parsed trace fields and the normalised solve options (see digest).
+// Whitespace, comments, directive order and float spelling of the
+// client's encoding never reach the parsed fields, so two requests
+// share a digest exactly when they describe the same instance and
+// options. Digest fails on a trace the format cannot represent
+// (trace.Validate), which no parsed trace is.
 func Digest(tr *trace.Trace, opts transched.SolveOptions) (string, error) {
-	h := fnv.New64a()
-	if err := trace.Write(h, tr); err != nil {
+	if err := trace.Validate(tr); err != nil {
 		return "", err
 	}
-	// The NUL separator cannot appear in the trace encoding, so the
-	// option block never aliases trace bytes.
-	fmt.Fprintf(h, "\x00opts %.17g %d %s", opts.CapacityMultiplier, opts.BatchSize, opts.Heuristic)
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	return digest(tr, opts), nil
+}
+
+// digest hashes, behind digestTag: the app, process and feature names;
+// per task its length-prefixed name, the IEEE-754 bits of comm, comp
+// and mem, and its feature row (length, then bits); then the options.
+// Every string and list is length-prefixed, so no field can run into
+// the next, and float bits tell apart exactly the values
+// strconv.FormatFloat tells apart, so the digest equates the traces
+// the canonical trace.Write encoding equates.
+func digest(tr *trace.Trace, opts transched.SolveOptions) string {
+	h := fnv64a(fnvOffset)
+	h.str(digestTag)
+	h.str(tr.App)
+	h.u64(uint64(tr.Process))
+	h.u64(uint64(len(tr.FeatureNames)))
+	for _, n := range tr.FeatureNames {
+		h.str(n)
+	}
+	h.u64(uint64(len(tr.Tasks)))
+	for i, t := range tr.Tasks {
+		h.str(t.Name)
+		h.f64(t.Comm)
+		h.f64(t.Comp)
+		h.f64(t.Mem)
+		row := tr.FeatureRow(i)
+		h.u64(uint64(len(row)))
+		for _, v := range row {
+			h.f64(v)
+		}
+	}
+	h.f64(opts.CapacityMultiplier)
+	h.u64(uint64(opts.BatchSize))
+	h.str(opts.Heuristic)
+	return h.hex()
+}
+
+// fnv64a is FNV-64a (hash/fnv's New64a), fed fields directly so that
+// hashing a trace allocates nothing.
+type fnv64a uint64
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// u64 hashes v's eight bytes, least significant first.
+func (h *fnv64a) u64(v uint64) {
+	for i := 0; i < 8; i++ {
+		*h = (*h ^ fnv64a(byte(v))) * fnvPrime
+		v >>= 8
+	}
+}
+
+func (h *fnv64a) f64(v float64) { h.u64(math.Float64bits(v)) }
+
+// str hashes s's length, then its bytes.
+func (h *fnv64a) str(s string) {
+	h.u64(uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		*h = (*h ^ fnv64a(s[i])) * fnvPrime
+	}
+}
+
+// hex renders the hash as 16 lowercase hex digits.
+func (h fnv64a) hex() string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[h&0xf]
+		h >>= 4
+	}
+	return string(b[:])
 }
 
 // buildResponse shapes a facade result for the wire.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -191,5 +192,59 @@ func TestParseRequestRejects(t *testing.T) {
 		if _, err := parseRequest(r); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// zeros is an endless reader of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestReadBody: the body arrives whole whatever Content-Length claims,
+// a truthful Content-Length sizes the buffer in one allocation, and a
+// body over maxBodyBytes is refused with the codec's error text.
+func TestReadBody(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		declared int64
+	}{
+		{"exact", int64(len(canonicalText))},
+		{"unknown", -1},
+		{"overstated", 1 << 20},
+		{"declared at the body limit", maxBodyBytes},
+		{"understated", 5},
+	} {
+		r := httptest.NewRequest("POST", "/solve", strings.NewReader(canonicalText))
+		r.ContentLength = tc.declared
+		body, err := readBody(r)
+		if err != nil || string(body) != canonicalText {
+			t.Errorf("%s: body %q, error %v", tc.name, body, err)
+		}
+		if tc.name == "exact" && cap(body) != len(canonicalText)+1 {
+			t.Errorf("exact: buffer cap %d, want %d", cap(body), len(canonicalText)+1)
+		}
+		// A declared length buys the client no more than the presize cap
+		// before its body arrives.
+		if cap(body) > maxBodyPresize+1 {
+			t.Errorf("%s: buffer cap %d, want <= %d", tc.name, cap(body), maxBodyPresize+1)
+		}
+	}
+
+	// A body larger than the presize cap still arrives whole.
+	big := strings.Repeat("x", 3*maxBodyPresize+7)
+	r := httptest.NewRequest("POST", "/solve", strings.NewReader(big))
+	r.ContentLength = int64(len(big))
+	if body, err := readBody(r); err != nil || string(body) != big {
+		t.Errorf("body past the presize cap: %d bytes, error %v", len(body), err)
+	}
+
+	r = httptest.NewRequest("POST", "/solve", io.LimitReader(zeros{}, maxBodyBytes+1))
+	r.ContentLength = -1
+	_, err := readBody(r)
+	if err == nil || err.Error() != "reading request body: http: request body too large" {
+		t.Errorf("over-limit body: error %v", err)
 	}
 }

@@ -174,19 +174,18 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	tr := rt.cfg.Tracer.Start("route", parent)
 	defer tr.Finish()
 
-	raw, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	raw, err := readBody(r)
 	if err != nil {
 		rt.badReqs.Inc()
 		tr.SetStatus(http.StatusBadRequest)
-		rt.writeError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
+		rt.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Parse exactly as a backend would, so malformed requests die here
 	// instead of consuming an upstream round trip, and the digest — the
 	// routing key — is the one the backend's cache will key on.
-	r.Body = io.NopCloser(bytes.NewReader(raw))
 	dt := tr.StartStage(obs.StageDecode)
-	p, err := parseRequest(r)
+	p, err := parseBody(r, raw)
 	dt.End()
 	if err != nil {
 		rt.badReqs.Inc()

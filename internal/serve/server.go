@@ -485,8 +485,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// The span closes once the response is composed: the socket write
 	// and gauge refreshes below are not request processing, and leaving
 	// them inside the span breaks the stage-accounting identity (stage
-	// sums >= 95% of the span). The deferred Finish above stays as the
-	// error-path net — Finish is idempotent.
+	// sums >= 95% of the span; TestCacheHitStageCoverage holds it on
+	// hits). A clock around the whole handler, such as perfbench's
+	// serve.unattributed_share, also counts this tail and the work before
+	// the span opens. The deferred Finish above stays as the error-path
+	// net — Finish is idempotent.
 	et.End()
 	rt.Finish()
 	w.Write(body)

@@ -4,7 +4,13 @@
 // earning (SERVING.md). The layout is the classic triangle —
 //
 //	<dir>/<digest>.blob   one marshalled response body per content address
-//	<dir>/index           one line per blob: "v1 <digest> <size> <fnv64a(body)>"
+//	<dir>/index           one line per blob: "v2 <digest> <size> <fnv64a(body)>"
+//
+// The line tag names the digest layout the keys were computed under
+// (serve's digestTag). Lines of any other tag are foreign: an index
+// written under an older layout loads empty and its blobs are swept,
+// so a key of one layout can never serve a response cached under
+// another.
 //
 // The index is append-only while the store is open and compacted on
 // every Open. Every failure mode degrades to a cache miss, never a
@@ -27,6 +33,8 @@ import (
 )
 
 const (
+	// indexTag opens every index line; see the package comment.
+	indexTag   = "v2"
 	indexName  = "index"
 	blobSuffix = ".blob"
 	tmpPrefix  = "tmp-"
@@ -88,7 +96,7 @@ func (s *Store) load() error {
 	sc.Buffer(make([]byte, 0, 4096), 1<<20)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
-		if len(fields) != 4 || fields[0] != "v1" || !validKey(fields[1]) {
+		if len(fields) != 4 || fields[0] != indexTag || !validKey(fields[1]) {
 			continue // corrupt or foreign line: tolerate, skip
 		}
 		size, err1 := strconv.ParseInt(fields[2], 10, 64)
@@ -150,7 +158,7 @@ func (s *Store) compact() error {
 	var sb strings.Builder
 	for _, key := range keys {
 		e := s.entries[key]
-		fmt.Fprintf(&sb, "v1 %s %d %016x\n", key, e.size, e.sum)
+		fmt.Fprintf(&sb, "%s %s %d %016x\n", indexTag, key, e.size, e.sum)
 	}
 	tmp, err := os.CreateTemp(s.dir, tmpPrefix+"*")
 	if err != nil {
@@ -222,7 +230,7 @@ func (s *Store) Put(key string, body []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: writing blob: %w", err)
 	}
-	if _, err := fmt.Fprintf(s.idx, "v1 %s %d %016x\n", key, len(body), fnvSum(body)); err != nil {
+	if _, err := fmt.Fprintf(s.idx, "%s %s %d %016x\n", indexTag, key, len(body), fnvSum(body)); err != nil {
 		// The blob is on disk but unindexed; the next Open sweeps it.
 		// Callers treat a Put error as "not persisted", which is true.
 		os.Remove(s.blobPath(key))

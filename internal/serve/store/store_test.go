@@ -150,7 +150,7 @@ func TestStoreMalformedIndexTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	junk := "not an index line\nv1\nv2 abcd 8 0\nv1 ZZZZ 8 0000000000000000\nv1 abcd notanumber 00\n"
+	junk := "not an index line\nv2\nv9 abcd 8 0\nv2 ZZZZ 8 0000000000000000\nv2 abcd notanumber 00\n"
 	if err := os.WriteFile(idx, append([]byte(junk), raw...), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +199,56 @@ func TestStoreSweepsStrayFiles(t *testing.T) {
 		if de.Name() != "index" && de.Name() != "abcd.blob" {
 			t.Errorf("stray file %s survived the sweep", de.Name())
 		}
+	}
+}
+
+// TestStoreDropsOldIndexVersion: a store written under the v1 digest
+// layout opens empty, and its blobs are swept, so no key of the
+// current layout can serve a response cached under the old one.
+func TestStoreDropsOldIndexVersion(t *testing.T) {
+	dir := t.TempDir()
+	blobs := map[string]string{"abcd": "old body", "0123456789abcdef": "another"}
+	var index strings.Builder
+	for key, body := range blobs {
+		if err := os.WriteFile(filepath.Join(dir, key+".blob"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&index, "v1 %s %d %016x\n", key, len(body), fnvSum([]byte(body)))
+	}
+	if err := os.WriteFile(filepath.Join(dir, "index"), []byte(index.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := mustOpen(t, dir)
+	if s.Len() != 0 || s.Bytes() != 0 {
+		t.Fatalf("v1 store opened with Len=%d Bytes=%d, want empty", s.Len(), s.Bytes())
+	}
+	for key := range blobs {
+		if _, ok := s.Get(key); ok {
+			t.Errorf("v1 blob %s served", key)
+		}
+		if _, err := os.Stat(filepath.Join(dir, key+".blob")); !os.IsNotExist(err) {
+			t.Errorf("v1 blob %s not swept: %v", key, err)
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "index"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != 0 {
+		t.Errorf("compacted index still holds %q", raw)
+	}
+
+	// The store works on from empty, writing current-version lines.
+	if err := s.Put("abcd", []byte("new body")); err != nil {
+		t.Fatal(err)
+	}
+	raw, err = os.ReadFile(filepath.Join(dir, "index"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(raw), indexTag+" abcd ") {
+		t.Errorf("index line %q does not carry tag %s", raw, indexTag)
 	}
 }
 

@@ -12,30 +12,14 @@ import (
 //
 //  1. Read never panics, whatever the input;
 //  2. an accepted trace round-trips: Write re-encodes it without error
-//     (everything Read accepts is representable) and Read parses the
-//     re-encoding back to an identical trace — which also makes the
-//     re-encoding a sound canonical form for content addressing
-//     (serve.Digest).
+//     (everything Read accepts is representable, so Validate passes)
+//     and Read parses the re-encoding back to an identical trace. The
+//     parsed fields are therefore a sound canonical form for content
+//     addressing: serve.Digest hashes them, not a re-encoding.
 func FuzzTraceRead(f *testing.F) {
-	f.Add([]byte("# transched trace v1\napp HF\nprocess 3\ntask a 1.5 2.25 1.5\ntask b 0.125 4 100\n"))
-	f.Add([]byte("# transched trace v1\n\n# comment\nprocess 0\ntask a 1 2 3\n"))
-	f.Add([]byte("# transched trace v1\napp CCSD\nprocess -7\ntask t0 0 0 0\n"))
-	f.Add([]byte("# transched trace v1\ntask a NaN 1 1\n"))
-	f.Add([]byte("# transched trace v1\ntask a 1 +Inf 1\n"))
-	f.Add([]byte("# transched trace v1\ntask dup 1 1 1\ntask dup 2 2 2\n"))
-	f.Add([]byte("# transched trace v1\napp x\napp y\nprocess 1\nprocess 2\n"))
-	f.Add([]byte("no magic\n"))
-	f.Add([]byte("# transched trace v1\ntask a 1e308 1e-308 5e-324\n"))
-	f.Add([]byte(""))
-	// Feature-annotated traces (PR 9): the `#!` lines are comments to a
-	// plain v1 reader and structured annotations to this one.
-	f.Add([]byte("# transched trace v1\n#! features bytes mem flops mem_traffic\napp HF\nprocess 0\ntask a 1 2 3\n#! feat a 1e6 3 2e9 0\n"))
-	f.Add([]byte("# transched trace v1\n#! features x\ntask a 1 2 3\ntask b 4 5 6\n#! feat b 0.5\n"))
-	f.Add([]byte("# transched trace v1\n#! features x\n#! features y\n"))
-	f.Add([]byte("# transched trace v1\n#! feat a 1\ntask a 1 1 1\n"))
-	f.Add([]byte("# transched trace v1\n#! features x y\ntask a 1 1 1\n#! feat a 1\n"))
-	f.Add([]byte("# transched trace v1\n#! features x\ntask a 1 1 1\n#! feat a NaN\n"))
-	f.Add([]byte("# transched trace v1\n#! unknown directive skipped\ntask a 1 1 1\n"))
+	for _, in := range traceReadSeeds {
+		f.Add([]byte(in))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data)) // must never panic
@@ -69,6 +53,29 @@ func FuzzTraceRead(f *testing.F) {
 			t.Fatalf("stripped re-encoding still carries annotations: %+v", old)
 		}
 	})
+}
+
+// traceReadSeeds seed FuzzTraceRead and FuzzReadMatchesReference.
+var traceReadSeeds = []string{
+	"# transched trace v1\napp HF\nprocess 3\ntask a 1.5 2.25 1.5\ntask b 0.125 4 100\n",
+	"# transched trace v1\n\n# comment\nprocess 0\ntask a 1 2 3\n",
+	"# transched trace v1\napp CCSD\nprocess -7\ntask t0 0 0 0\n",
+	"# transched trace v1\ntask a NaN 1 1\n",
+	"# transched trace v1\ntask a 1 +Inf 1\n",
+	"# transched trace v1\ntask dup 1 1 1\ntask dup 2 2 2\n",
+	"# transched trace v1\napp x\napp y\nprocess 1\nprocess 2\n",
+	"no magic\n",
+	"# transched trace v1\ntask a 1e308 1e-308 5e-324\n",
+	"",
+	// Feature-annotated traces: the `#!` lines are comments to a
+	// plain v1 reader and structured annotations to this one.
+	"# transched trace v1\n#! features bytes mem flops mem_traffic\napp HF\nprocess 0\ntask a 1 2 3\n#! feat a 1e6 3 2e9 0\n",
+	"# transched trace v1\n#! features x\ntask a 1 2 3\ntask b 4 5 6\n#! feat b 0.5\n",
+	"# transched trace v1\n#! features x\n#! features y\n",
+	"# transched trace v1\n#! feat a 1\ntask a 1 1 1\n",
+	"# transched trace v1\n#! features x y\ntask a 1 1 1\n#! feat a 1\n",
+	"# transched trace v1\n#! features x\ntask a 1 1 1\n#! feat a NaN\n",
+	"# transched trace v1\n#! unknown directive skipped\ntask a 1 1 1\n",
 }
 
 func stripAnnotations(encoded []byte) []byte {

@@ -17,6 +17,8 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
+	"unsafe"
 
 	"transched/internal/core"
 )
@@ -89,15 +91,10 @@ const (
 //	...
 //
 // Write output always reads back (Read(Write(tr)) == tr), so Write
-// rejects anything the format cannot represent: whitespace in names
-// (the format is whitespace-delimited), empty names, duplicate names,
-// and non-finite or invalid task fields. An empty App is represented by
-// omitting the app line.
+// rejects, before writing anything, every trace Validate rejects. An
+// empty App is represented by omitting the app line.
 func Write(w io.Writer, tr *Trace) error {
-	if tr.App != "" && strings.ContainsFunc(tr.App, unicode.IsSpace) {
-		return fmt.Errorf("trace: app name %q contains whitespace", tr.App)
-	}
-	if err := validateFeatures(tr); err != nil {
+	if err := Validate(tr); err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(w)
@@ -109,21 +106,7 @@ func Write(w io.Writer, tr *Trace) error {
 		fmt.Fprintf(bw, "app %s\n", tr.App)
 	}
 	fmt.Fprintf(bw, "process %d\n", tr.Process)
-	seen := make(map[string]bool, len(tr.Tasks))
 	for i, t := range tr.Tasks {
-		if err := t.Validate(); err != nil {
-			return err
-		}
-		if t.Name == "" {
-			return fmt.Errorf("trace: task with empty name")
-		}
-		if strings.ContainsFunc(t.Name, unicode.IsSpace) {
-			return fmt.Errorf("trace: task name %q contains whitespace", t.Name)
-		}
-		if seen[t.Name] {
-			return fmt.Errorf("trace: duplicate task name %q", t.Name)
-		}
-		seen[t.Name] = true
 		fmt.Fprintf(bw, "task %s %s %s %s\n", t.Name,
 			formatFloat(t.Comm), formatFloat(t.Comp), formatFloat(t.Mem))
 		if row := tr.FeatureRow(i); row != nil {
@@ -135,6 +118,37 @@ func Write(w io.Writer, tr *Trace) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// Validate reports whether the format can represent tr, which is
+// exactly when Write accepts it: it rejects whitespace in names (the
+// format is whitespace-delimited), empty names, duplicate names,
+// non-finite or invalid task fields, and malformed feature annotations.
+// Every trace Read returns passes.
+func Validate(tr *Trace) error {
+	if tr.App != "" && strings.ContainsFunc(tr.App, unicode.IsSpace) {
+		return fmt.Errorf("trace: app name %q contains whitespace", tr.App)
+	}
+	if err := validateFeatures(tr); err != nil {
+		return err
+	}
+	seen := make(map[string]struct{}, len(tr.Tasks))
+	for _, t := range tr.Tasks {
+		if err := t.Validate(); err != nil {
+			return err
+		}
+		if t.Name == "" {
+			return fmt.Errorf("trace: task with empty name")
+		}
+		if strings.ContainsFunc(t.Name, unicode.IsSpace) {
+			return fmt.Errorf("trace: task name %q contains whitespace", t.Name)
+		}
+		if _, dup := seen[t.Name]; dup {
+			return fmt.Errorf("trace: duplicate task name %q", t.Name)
+		}
+		seen[t.Name] = struct{}{}
+	}
+	return nil
 }
 
 // validateFeatures rejects annotation state the format cannot represent:
@@ -184,109 +198,194 @@ func validateFeatures(tr *Trace) error {
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// Read parses a v1 trace. Malformed input dies here, at the codec,
-// never inside a solver: non-finite durations or memory requirements
-// (NaN/Inf smuggled through ParseFloat) and duplicate task names are
-// rejected with the offending line number.
+// maxLine bounds one line of the format: a line of maxLine bytes or
+// more, its '\n' not counted, is rejected with bufio.ErrTooLong.
+const maxLine = 16 * 1024 * 1024
+
+// minTaskLine is the length of the shortest task line. No text holds
+// more than len/minTaskLine+1 task lines, which caps Parse's presizing
+// at what a body of that size can really carry.
+const minTaskLine = len("task a 0 0 0\n")
+
+// Read parses a v1 trace from r: it reads r to its end and hands the
+// text to Parse. A read error is returned as is.
 func Read(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	tr := &Trace{}
-	line := 0
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	// Nothing writes data again, so the text can share its bytes.
+	return Parse(unsafe.String(unsafe.SliceData(data), len(data)))
+}
+
+// Parse parses a v1 trace held in text. Malformed input dies here, at
+// the codec, never inside a solver: non-finite durations or memory
+// requirements (NaN/Inf smuggled through ParseFloat) and duplicate task
+// names are rejected with the offending line number.
+//
+// Parse makes one pass over text and copies none of it: the app, task
+// and feature names it returns are substrings of text. Lines split at
+// '\n' (a '\r' before it is trailing whitespace) and are trimmed with
+// strings.TrimSpace; their fields split as strings.Fields splits them.
+func Parse(text string) (*Trace, error) {
+	p := parser{
+		tr:   &Trace{},
+		hint: min(strings.Count(text, "\n")+1, len(text)/minTaskLine+1),
+	}
 	sawMagic := false
-	names := make(map[string]int)
-	feats := make(map[string][]float64)
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+	rest := text
+	for line := 1; rest != ""; line++ {
+		seg := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			seg, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		if len(seg) >= maxLine {
+			return nil, bufio.ErrTooLong
+		}
+		s := strings.TrimSpace(seg)
+		if s == "" {
 			continue
 		}
 		if line == 1 {
-			if text != magic {
+			if s != magic {
 				return nil, fmt.Errorf("trace: line 1: missing header %q", magic)
 			}
 			sawMagic = true
 			continue
 		}
-		if strings.HasPrefix(text, "#!") {
-			if err := parseAnnotation(tr, names, feats, text, line); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		switch fields[0] {
-		case "app":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("trace: line %d: want 'app <name>'", line)
-			}
-			tr.App = fields[1]
-		case "process":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("trace: line %d: want 'process <rank>'", line)
-			}
-			p, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad process rank: %w", line, err)
-			}
-			tr.Process = p
-		case "task":
-			if len(fields) != 5 {
-				return nil, fmt.Errorf("trace: line %d: want 'task <name> <comm> <comp> <mem>'", line)
-			}
-			var vals [3]float64
-			for i := 0; i < 3; i++ {
-				v, err := strconv.ParseFloat(fields[2+i], 64)
-				if err != nil {
-					return nil, fmt.Errorf("trace: line %d: bad number %q: %w", line, fields[2+i], err)
-				}
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, fmt.Errorf("trace: line %d: non-finite value %q", line, fields[2+i])
-				}
-				vals[i] = v
-			}
-			if _, dup := names[fields[1]]; dup {
-				return nil, fmt.Errorf("trace: line %d: duplicate task name %q", line, fields[1])
-			}
-			names[fields[1]] = len(tr.Tasks)
-			t := core.Task{Name: fields[1], Comm: vals[0], Comp: vals[1], Mem: vals[2]}
-			if err := t.Validate(); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", line, err)
-			}
-			tr.Tasks = append(tr.Tasks, t)
+		var err error
+		switch {
+		case strings.HasPrefix(s, "#!"):
+			err = p.annotation(p.fields(s[len("#!"):]), line)
+		case s[0] == '#': // a comment
 		default:
-			return nil, fmt.Errorf("trace: line %d: unknown directive %q", line, fields[0])
+			err = p.directive(p.fields(s), line)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+		if err != nil {
+			return nil, err
+		}
 	}
 	if !sawMagic {
 		return nil, fmt.Errorf("trace: empty input")
 	}
+	tr := p.tr
 	if tr.FeatureNames != nil {
-		tr.Features = make([][]float64, len(tr.Tasks))
-		for name, row := range feats {
-			tr.Features[names[name]] = row
+		if p.rows != nil {
+			tr.Features = p.rows[:len(tr.Tasks)]
+		} else {
+			tr.Features = make([][]float64, len(tr.Tasks))
 		}
 	}
 	return tr, nil
 }
 
-// parseAnnotation handles one `#!` line. Unknown annotation directives
-// are skipped (they are comments to a plain v1 reader, and a future
-// format revision may add more), but the two known forms are validated
-// as strictly as the task lines themselves: codec errors die here, not
-// in a model fit.
-func parseAnnotation(tr *Trace, names map[string]int, feats map[string][]float64, text string, line int) error {
-	fields := strings.Fields(text[len("#!"):])
+// parser is Parse's state between lines.
+type parser struct {
+	tr *Trace
+	// names maps each task name to its index in tr.Tasks.
+	names map[string]int
+	// rows holds the feature rows by task index, allocated at the
+	// first '#! feat' line.
+	rows [][]float64
+	// hint bounds the task count; the first task line presizes
+	// tr.Tasks, names and rows with it, so none of them grows.
+	hint int
+	buf  [8]string
+}
+
+// asciiSpace marks the bytes strings.Fields and strings.TrimSpace treat
+// as whitespace below utf8.RuneSelf.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// fields is strings.Fields(s). An ASCII line splits into p.buf, which
+// the next call reuses, so callers copy what they keep past the line;
+// a line with any byte >= utf8.RuneSelf goes through strings.Fields
+// itself, so Unicode whitespace splits exactly as strings.Fields has it.
+func (p *parser) fields(s string) []string {
+	f := p.buf[:0]
+	for i := 0; i < len(s); {
+		for i < len(s) && asciiSpace[s[i]] {
+			i++
+		}
+		start := i
+		for i < len(s) && !asciiSpace[s[i]] {
+			if s[i] >= utf8.RuneSelf {
+				return strings.Fields(s)
+			}
+			i++
+		}
+		if i > start {
+			f = append(f, s[start:i])
+		}
+	}
+	return f
+}
+
+// directive handles one app, process or task line.
+func (p *parser) directive(fields []string, line int) error {
+	tr := p.tr
+	switch fields[0] {
+	case "app":
+		if len(fields) != 2 {
+			return fmt.Errorf("trace: line %d: want 'app <name>'", line)
+		}
+		tr.App = fields[1]
+	case "process":
+		if len(fields) != 2 {
+			return fmt.Errorf("trace: line %d: want 'process <rank>'", line)
+		}
+		rank, err := strconv.Atoi(fields[1])
+		if err != nil {
+			return fmt.Errorf("trace: line %d: bad process rank: %w", line, err)
+		}
+		tr.Process = rank
+	case "task":
+		if len(fields) != 5 {
+			return fmt.Errorf("trace: line %d: want 'task <name> <comm> <comp> <mem>'", line)
+		}
+		var vals [3]float64
+		for i := range vals {
+			v, err := strconv.ParseFloat(fields[2+i], 64)
+			if err != nil {
+				return fmt.Errorf("trace: line %d: bad number %q: %w", line, fields[2+i], err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("trace: line %d: non-finite value %q", line, fields[2+i])
+			}
+			vals[i] = v
+		}
+		name := fields[1]
+		if p.names == nil {
+			p.names = make(map[string]int, p.hint)
+			tr.Tasks = make([]core.Task, 0, p.hint)
+		}
+		if _, dup := p.names[name]; dup {
+			return fmt.Errorf("trace: line %d: duplicate task name %q", line, name)
+		}
+		p.names[name] = len(tr.Tasks)
+		t := core.Task{Name: name, Comm: vals[0], Comp: vals[1], Mem: vals[2]}
+		if err := t.Validate(); err != nil {
+			return fmt.Errorf("trace: line %d: %w", line, err)
+		}
+		tr.Tasks = append(tr.Tasks, t)
+	default:
+		return fmt.Errorf("trace: line %d: unknown directive %q", line, fields[0])
+	}
+	return nil
+}
+
+// annotation handles the fields of one `#!` line. Unknown annotation
+// directives are skipped (they are comments to a plain v1 reader, and a
+// future format revision may add more), but the two known forms are
+// validated as strictly as the task lines themselves: codec errors die
+// here, not in a model fit.
+func (p *parser) annotation(fields []string, line int) error {
 	if len(fields) == 0 {
 		return nil
 	}
+	tr := p.tr
 	switch fields[0] {
 	case annFeatures:
 		if tr.FeatureNames != nil {
@@ -303,7 +402,7 @@ func parseAnnotation(tr *Trace, names map[string]int, feats map[string][]float64
 				}
 			}
 		}
-		tr.FeatureNames = cols
+		tr.FeatureNames = append([]string(nil), cols...) // fields may be p.buf
 	case annFeat:
 		if tr.FeatureNames == nil {
 			return fmt.Errorf("trace: line %d: '#! feat' before '#! features' header", line)
@@ -313,24 +412,28 @@ func parseAnnotation(tr *Trace, names map[string]int, feats map[string][]float64
 				line, len(tr.FeatureNames), len(fields)-2)
 		}
 		name := fields[1]
-		if _, ok := names[name]; !ok {
+		i, ok := p.names[name]
+		if !ok {
 			return fmt.Errorf("trace: line %d: '#! feat' for unknown task %q", line, name)
 		}
-		if _, dup := feats[name]; dup {
+		if p.rows == nil {
+			p.rows = make([][]float64, p.hint)
+		}
+		if p.rows[i] != nil {
 			return fmt.Errorf("trace: line %d: duplicate '#! feat' for task %q", line, name)
 		}
 		row := make([]float64, len(tr.FeatureNames))
-		for i := range row {
-			v, err := strconv.ParseFloat(fields[2+i], 64)
+		for j := range row {
+			v, err := strconv.ParseFloat(fields[2+j], 64)
 			if err != nil {
-				return fmt.Errorf("trace: line %d: bad feature value %q: %w", line, fields[2+i], err)
+				return fmt.Errorf("trace: line %d: bad feature value %q: %w", line, fields[2+j], err)
 			}
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("trace: line %d: non-finite feature value %q", line, fields[2+i])
+				return fmt.Errorf("trace: line %d: non-finite feature value %q", line, fields[2+j])
 			}
-			row[i] = v
+			row[j] = v
 		}
-		feats[name] = row
+		p.rows[i] = row
 	}
 	return nil
 }
